@@ -53,9 +53,6 @@ lint:
 # BENCH_kernel.json (ns/cycle, allocs/cycle per CPU x benchmark) so
 # future changes have numbers to diff against. BENCH_obs.json records the
 # observability overhead comparison (tracing off vs on) the same way.
-# BENCH_batch.json records the bit-parallel batched kernel: aggregate
-# lane-steps/s of batch-N vs scalar-N (the >=4x at >=8 lanes acceptance
-# number) and the end-to-end kernel-vs-batch co-analysis comparison.
 # BENCH_cluster.json records distributed exploration: aggregate paths/s
 # of the Table-1 workload run single-node versus fanned out across a
 # 3-worker fleet behind a real HTTP coordinator (the fleet's speedup is
@@ -70,7 +67,6 @@ lint:
 BENCHTIME ?= 2x
 BENCH_PAT ?= BenchmarkTable3GateCounts|BenchmarkTable4Paths|BenchmarkEngineComparison|BenchmarkSettleSteadyState
 BENCH_OBS_PAT ?= BenchmarkObsOverhead
-BENCH_BATCH_PAT ?= BenchmarkBatchKernelSweep|BenchmarkBatchAnalyze
 BENCH_CLUSTER_PAT ?= BenchmarkClusterSingleNode|BenchmarkClusterThreeWorkers
 BENCH_PRUNE_PAT ?= BenchmarkPruneTable4
 bench:
@@ -84,11 +80,6 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_obs.json bench_obs_output.txt
 	@rm -f bench_obs_output.txt
 	@echo "wrote BENCH_obs.json"
-	$(GO) test -run '^$$' -bench '$(BENCH_BATCH_PAT)' -benchmem -benchtime $(BENCHTIME) -timeout 30m . \
-		| tee bench_batch_output.txt
-	$(GO) run ./cmd/benchjson -o BENCH_batch.json bench_batch_output.txt
-	@rm -f bench_batch_output.txt
-	@echo "wrote BENCH_batch.json"
 	$(GO) test -run '^$$' -bench '$(BENCH_CLUSTER_PAT)' -benchmem -benchtime $(BENCHTIME) -timeout 30m ./internal/cluster/ \
 		| tee bench_cluster_output.txt
 	$(GO) run ./cmd/benchjson -o BENCH_cluster.json bench_cluster_output.txt

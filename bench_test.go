@@ -360,7 +360,6 @@ func BenchmarkEngineComparison(b *testing.B) {
 	}{
 		{"interp", symsim.EngineInterp},
 		{"kernel", symsim.EngineKernel},
-		{"batch", symsim.EngineBatch},
 	}
 	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
 		for _, eng := range engines {

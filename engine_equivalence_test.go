@@ -11,19 +11,13 @@ import (
 // swept across all three evaluation cores (Table 2), both X-memory
 // policies and two CSM policies (the merge-all default and constrained,
 // whose fact trimming, fork pruning and heat-ordered merging all sit on
-// the observe path the engines share). For each cell a full co-analysis
-// must produce:
-//
-//   - interp vs kernel: the identical everything — exercisable set,
-//     tie-offs, path counts, simulated cycles, conservative-state count.
-//     The unit-level suite in internal/vvp certifies the engines
-//     commit-for-commit; this certifies nothing above them (forking,
-//     CSM, toggle absorption) observes a difference either.
-//   - batch vs kernel: the identical dichotomy and tie-offs only. The
-//     batch engine retires up to 64 lanes per settle, so CSM merge
-//     order — and with it path counts and total cycles — may legally
-//     differ; the dichotomy is a fixpoint of sound over-approximations
-//     and may not.
+// the observe path the engines share). For each cell the interpreter and
+// the kernel must produce the identical everything — exercisable set,
+// tie-offs, path counts, simulated cycles, conservative-state count. The
+// unit-level suite in internal/vvp certifies the engines commit-for-commit;
+// this certifies nothing above them (forking, CSM, toggle absorption)
+// observes a difference either. It is what lets the service result cache
+// and the cluster leave the engine out of a result's identity.
 //
 // Policies are constructed fresh per engine run: a CSM is stateful, and
 // sharing one across runs would let the first engine's merges subsume
@@ -61,7 +55,6 @@ func TestEngineEquivalenceEndToEnd(t *testing.T) {
 					}
 					ri := run(symsim.EngineInterp)
 					rk := run(symsim.EngineKernel)
-					rb := run(symsim.EngineBatch)
 
 					if ri.PathsCreated != rk.PathsCreated || ri.PathsSkipped != rk.PathsSkipped {
 						t.Errorf("paths diverged: interp %d/%d kernel %d/%d",
@@ -76,28 +69,23 @@ func TestEngineEquivalenceEndToEnd(t *testing.T) {
 					if ri.CSMStates != rk.CSMStates {
 						t.Errorf("CSM states diverged: %d vs %d", ri.CSMStates, rk.CSMStates)
 					}
-					for name, res := range map[string]*symsim.Result{"interp": ri, "batch": rb} {
-						if res.ExercisableCount != rk.ExercisableCount {
-							t.Errorf("%s exercisable count diverged: %d vs kernel %d",
-								name, res.ExercisableCount, rk.ExercisableCount)
-						}
-						for gi := range rk.ExercisableGates {
-							if res.ExercisableGates[gi] != rk.ExercisableGates[gi] {
-								t.Fatalf("%s: gate %d exercisability diverged", name, gi)
-							}
-						}
-						to, tk := res.TieOffs(), rk.TieOffs()
-						if len(to) != len(tk) {
-							t.Fatalf("%s tie-off counts diverged: %d vs %d", name, len(to), len(tk))
-						}
-						for i := range to {
-							if to[i] != tk[i] {
-								t.Fatalf("%s tie-off %d diverged: %+v vs %+v", name, i, to[i], tk[i])
-							}
+					if ri.ExercisableCount != rk.ExercisableCount {
+						t.Errorf("exercisable count diverged: interp %d vs kernel %d",
+							ri.ExercisableCount, rk.ExercisableCount)
+					}
+					for gi := range rk.ExercisableGates {
+						if ri.ExercisableGates[gi] != rk.ExercisableGates[gi] {
+							t.Fatalf("gate %d exercisability diverged", gi)
 						}
 					}
-					if !rb.Complete {
-						t.Errorf("batch run degraded: %+v", rb.Degradation)
+					ti, tk := ri.TieOffs(), rk.TieOffs()
+					if len(ti) != len(tk) {
+						t.Fatalf("tie-off counts diverged: interp %d vs kernel %d", len(ti), len(tk))
+					}
+					for i := range ti {
+						if ti[i] != tk[i] {
+							t.Fatalf("tie-off %d diverged: interp %+v vs kernel %+v", i, ti[i], tk[i])
+						}
 					}
 				})
 			}

@@ -27,7 +27,6 @@ type Analysis struct {
 	Workers int
 	MemX    string
 	Engine  string
-	Lanes   int
 
 	Deadline     time.Duration
 	MaxCycles    uint64
@@ -46,8 +45,7 @@ func Register(fs *flag.FlagSet) *Analysis {
 	fs.StringVar(&a.Constraints, "constraints", "", "constraint file for the constrained policy")
 	fs.IntVar(&a.Workers, "workers", 1, "parallel path workers")
 	fs.StringVar(&a.MemX, "memx", "verilog", "X-address write semantics: verilog | sound")
-	fs.StringVar(&a.Engine, "engine", "kernel", "simulation engine: kernel (compiled) | interp (reference interpreter) | batch (bit-parallel, up to 64 paths per sweep)")
-	fs.IntVar(&a.Lanes, "lanes", 0, "scenario lanes the batch engine packs per sweep, 1..64 (0 = 64; ignored by scalar engines)")
+	fs.StringVar(&a.Engine, "engine", "kernel", "simulation engine: kernel (compiled) | interp (reference interpreter)")
 	fs.DurationVar(&a.Deadline, "deadline", 0, "wall-clock budget; on expiry the run degrades soundly instead of erroring")
 	fs.Uint64Var(&a.MaxCycles, "max-sim-cycles", 0, "total simulated-cycle budget across all paths (0 = unlimited)")
 	fs.IntVar(&a.MaxForks, "max-forks", 0, "X-branch fork budget (0 = unlimited)")
@@ -96,10 +94,8 @@ func ParseEngine(s string) (vvp.Engine, error) {
 		return vvp.EngineKernel, nil
 	case "interp":
 		return vvp.EngineInterp, nil
-	case "batch":
-		return vvp.EngineBatch, nil
 	}
-	return 0, fmt.Errorf("unknown -engine %q (want kernel | interp | batch)", s)
+	return 0, fmt.Errorf("unknown -engine %q (want kernel | interp)", s)
 }
 
 // NewPolicy constructs the CSM manager a -policy value selects. The
@@ -162,7 +158,7 @@ func (a *Analysis) ManagerFor(spec *vvp.StateSpec) (csm.Manager, error) {
 // Config interprets the flags into a core.Config for a run against spec
 // (needed only by the constrained policy; spec may be nil otherwise).
 func (a *Analysis) Config(spec *vvp.StateSpec) (core.Config, error) {
-	cfg := core.Config{Workers: a.Workers, Lanes: a.Lanes, Budget: a.Budget()}
+	cfg := core.Config{Workers: a.Workers, Budget: a.Budget()}
 	var err error
 	if cfg.MemX, err = ParseMemX(a.MemX); err != nil {
 		return cfg, err

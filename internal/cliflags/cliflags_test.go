@@ -3,6 +3,7 @@ package cliflags_test
 import (
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,7 +24,7 @@ import (
 // both register exactly this analysis flag vocabulary through Register,
 // so a flag added or renamed in only one place fails here.
 var sharedFlagNames = []string{
-	"constraints", "deadline", "engine", "k", "lanes", "max-csm-states",
+	"constraints", "deadline", "engine", "k", "max-csm-states",
 	"max-forks", "max-sim-cycles", "max-states", "memx", "policy",
 	"workers",
 }
@@ -139,42 +140,33 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	}
 }
 
-// TestBatchEngineFlags pins the batch-engine vocabulary: -engine=batch
-// parses to vvp.EngineBatch, -lanes flows into Config.Lanes, and the
-// unknown-engine error names all three engines.
-func TestBatchEngineFlags(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	a := cliflags.Register(fs)
-	if err := fs.Parse([]string{"-engine", "batch", "-lanes", "16"}); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := a.Config(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Engine != vvp.EngineBatch || cfg.Lanes != 16 {
-		t.Errorf("config = engine %v lanes %d, want batch/16", cfg.Engine, cfg.Lanes)
-	}
-	if _, err := cliflags.ParseEngine("warp"); err == nil ||
-		!strings.Contains(err.Error(), "kernel | interp | batch") {
-		t.Errorf("unknown-engine error should list all engines, got %v", err)
-	}
-}
-
+// TestConfigRejectsBadValues checks every bad flag value is refused with
+// an error naming what is wrong. -engine batch and -lanes are the retired
+// bit-parallel engine's vocabulary: batch is an unknown engine like any
+// other, and -lanes is no longer a flag at all.
 func TestConfigRejectsBadValues(t *testing.T) {
-	for _, args := range [][]string{
-		{"-memx", "bogus"},
-		{"-engine", "bogus"},
-		{"-policy", "bogus"},
-		{"-policy", "constrained"}, // no spec/constraint file
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-memx", "bogus"}, "verilog | sound"},
+		{[]string{"-engine", "bogus"}, "kernel | interp"},
+		{[]string{"-engine", "batch"}, "kernel | interp"},
+		{[]string{"-lanes", "8"}, "-lanes"},
+		{[]string{"-policy", "bogus"}, "bogus"},
+		{[]string{"-policy", "constrained"}, "constrain"}, // no spec/constraint file
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
 		a := cliflags.Register(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
+		err := fs.Parse(tc.args)
+		if err == nil {
+			_, err = a.Config(nil)
 		}
-		if _, err := a.Config(nil); err == nil {
-			t.Errorf("args %v accepted", args)
+		if err == nil {
+			t.Errorf("args %v accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %q does not mention %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package cluster distributes one symbolic co-analysis across a fleet of
 // symsimd processes: a coordinator owns the authoritative Conservative
 // State Manager and a shared frontier of pending-path work units, and
-// workers pull units, simulate them with the existing kernel/batch
-// engines, and report fork children and merge candidates back.
+// workers pull units, simulate them with the existing simulation engine,
+// and report fork children and merge candidates back.
 //
 // The design leans entirely on seams the repository already has:
 //
@@ -62,13 +62,14 @@ type RunSpec struct {
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Engine, MemX, Workers and Lanes tune the simulation machinery each
-	// worker runs its units on. Engine, Workers and Lanes never change a
-	// complete dichotomy (the single-node engine-equivalence guarantee).
+	// Engine (kernel | interp), MemX (verilog | sound) and Workers tune
+	// the simulation machinery each worker runs its units on. Engine never
+	// changes a complete result (TestEngineEquivalenceEndToEnd asserts
+	// kernel-vs-interpreter equality) and Workers never changes the
+	// dichotomy. NewRun rejects an unknown Engine or MemX up front.
 	Engine  string `json:"engine,omitempty"`
 	MemX    string `json:"memx,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	Lanes   int    `json:"lanes,omitempty"`
 
 	// ShardSize caps the pending paths bundled per leased work unit;
 	// 0 uses the coordinator's default.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"symsim/internal/cliflags"
 	"symsim/internal/core"
 	"symsim/internal/csm"
 	"symsim/internal/logic"
@@ -190,6 +191,14 @@ func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
 	}
 	if spec.MemX == "" {
 		spec.MemX = "verilog"
+	}
+	// Validate what every worker will parse: a spec its engine or MemX
+	// parse rejects would fail each lease until MaxAttempts.
+	if _, err := cliflags.ParseEngine(spec.Engine); err != nil {
+		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	if _, err := cliflags.ParseMemX(spec.MemX); err != nil {
+		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	if spec.Workers <= 0 {
 		// One path worker per unit by default: cluster parallelism comes
@@ -732,6 +741,14 @@ func (c *Coordinator) finalizeLocked(r *run) []*obs.Counter {
 	res.SimulatedCycles = r.cycles
 	r.res = res
 	r.state = "done"
+	// Release what only exploration needs, so a long-lived coordinator
+	// does not keep every finished run's platform, CSM and profile. This
+	// run has nothing leased and no observe between its lock sections, and
+	// every RPC on a run that is not running returns before touching these
+	// fields; Status reads the CSM state count from res. Failed runs keep
+	// theirs: an in-flight observe may still be using the policy.
+	r.p, r.policy, r.profile = nil, nil, nil
+	r.pending, r.requeue, r.leased, r.done = nil, nil, nil, nil
 	close(r.doneCh)
 	c.cfg.Logf("cluster: run %s done: %d/%d gates exercisable, %d paths, %d csm states",
 		r.id, res.ExercisableCount, res.TotalGates, res.PathsCreated, res.CSMStates)
@@ -797,6 +814,12 @@ func (c *Coordinator) Status(runID string) (RunStatusView, error) {
 	if !ok {
 		return RunStatusView{}, ErrUnknownRun
 	}
+	var states int
+	if r.state == "done" {
+		states = r.res.CSMStates // the policy was released at finalize
+	} else {
+		states = r.policy.States()
+	}
 	return RunStatusView{
 		ID:            r.id,
 		State:         r.state,
@@ -808,7 +831,7 @@ func (c *Coordinator) Status(runID string) (RunStatusView, error) {
 		Pending:       len(r.pending),
 		LeasedUnits:   len(r.leased),
 		RequeuedUnits: len(r.requeue),
-		CSMStates:     r.policy.States(),
+		CSMStates:     states,
 	}, nil
 }
 

@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"symsim/internal/core"
 	"symsim/internal/obs"
+	"symsim/internal/report"
 	"symsim/internal/vvp"
 )
 
@@ -134,5 +136,67 @@ func TestObserveReplayReturnsOriginalVerdict(t *testing.T) {
 	}
 	if !next.Subsumed {
 		t.Errorf("fresh observe of the covered state should be subsumed, got %+v", next)
+	}
+}
+
+// TestFinishedRunReleasesStateAndFencesLateRPCs pins the memory bound on
+// a long-lived coordinator: a done run drops its platform, CSM, profile
+// and frontier bookkeeping, yet Status and Result answer exactly as
+// before, and an RPC from a zombie worker that lands after the run
+// finished is fenced with 409 instead of touching the released state.
+func TestFinishedRunReleasesStateAndFencesLateRPCs(t *testing.T) {
+	tc := startCluster(t, Config{}, 1)
+	cc := newCoordClient(tc.ts.URL, nil)
+	id, err := cc.createRun(RunSpec{Design: "dr5", Bench: "tHold"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := tc.coord.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tc.coord.mu.Lock()
+	r := tc.coord.runs[id]
+	held := r.p != nil || r.policy != nil || r.profile != nil ||
+		r.pending != nil || r.requeue != nil || r.leased != nil || r.done != nil
+	tc.coord.mu.Unlock()
+	if held {
+		t.Error("finished run still holds exploration state")
+	}
+
+	st, err := cc.status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" || st.CSMStates != res.CSMStates || st.Created != res.PathsCreated ||
+		st.Retired != res.PathsCreated || st.Skipped != res.PathsSkipped {
+		t.Errorf("status after release = %+v, result %d paths / %d skipped / %d CSM states",
+			st, res.PathsCreated, res.PathsSkipped, res.CSMStates)
+	}
+	if again, err := tc.coord.Result(id); err != nil || again != res {
+		t.Errorf("Result after release = %p, %v; want %p", again, err, res)
+	}
+
+	// Unit 1 epoch 1 is the genesis unit, long retired: a worker that
+	// still believes it holds it must be fenced on every RPC.
+	p, err := report.BuildPlatform(report.DR5, "tHold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := core.SeedCheckpoint(p, "merge-all", nil).EncodeBinary()
+	if _, err := cc.observe(id, 1, 1, 1, vvp.State{}.AppendBinary(nil)); !errors.Is(err, ErrStale) {
+		t.Errorf("late observe: err = %v, want ErrStale", err)
+	}
+	if err := cc.report(id, 1, 1, rep); !errors.Is(err, ErrStale) {
+		t.Errorf("late report: err = %v, want ErrStale", err)
+	}
+	if err := cc.heartbeat(id, 1, 1); !errors.Is(err, ErrStale) {
+		t.Errorf("late heartbeat: err = %v, want ErrStale", err)
+	}
+	if err := cc.fail(id, 1, 1, "zombie"); !errors.Is(err, ErrStale) {
+		t.Errorf("late fail: err = %v, want ErrStale", err)
 	}
 }

@@ -61,7 +61,7 @@ func startCluster(t *testing.T, cfg Config, n int) *testCluster {
 // single-node reference on everything the engine-equivalence contract
 // guarantees: the exercisable set and the tie-off list. Path counts,
 // cycles and CSM state counts may legally differ — merge order does —
-// exactly as batch-vs-kernel may differ single-node; the dichotomy is a
+// exactly as a multi-worker run may differ single-node; the dichotomy is a
 // fixpoint of sound over-approximations and may not.
 func requireDichotomyEqual(t *testing.T, got, want *core.Result) {
 	t.Helper()
@@ -188,7 +188,9 @@ func TestClusterPolicySweep(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsBadSpecs pins the validation surface of NewRun.
+// TestClusterRejectsBadSpecs pins the validation surface of NewRun: every
+// spec a worker could never execute is a 400-class ErrBadPayload at
+// submission, not a run that burns MaxAttempts per unit before failing.
 func TestClusterRejectsBadSpecs(t *testing.T) {
 	coord := NewCoordinator(Config{Metrics: obs.NewRegistry()})
 	defer coord.Close()
@@ -197,9 +199,12 @@ func TestClusterRejectsBadSpecs(t *testing.T) {
 		{Design: "dr5"},                  // no bench
 		{Design: "nope", Bench: "tHold"}, // unknown design
 		{Design: "dr5", Bench: "tHold", Policy: "constrained"}, // needs local file
+		{Design: "dr5", Bench: "tHold", Engine: "bogus"},       // unknown engine
+		{Design: "dr5", Bench: "tHold", Engine: "batch"},       // retired engine
+		{Design: "dr5", Bench: "tHold", MemX: "bogus"},         // unknown MemX
 	} {
-		if _, err := coord.NewRun(spec); err == nil {
-			t.Errorf("spec %+v accepted", spec)
+		if _, err := coord.NewRun(spec); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("spec %+v: err = %v, want ErrBadPayload", spec, err)
 		}
 	}
 }

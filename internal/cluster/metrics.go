@@ -98,10 +98,9 @@ func newCoordMetrics(reg *obs.Registry, c *Coordinator) *coordMetrics {
 }
 
 // Worker metrics: per-worker registries mean per-worker series, and
-// because core.AnalyzeContext publishes its engine metrics (including the
-// symsim_vvp_lane_occupancy histogram) to the same registry the worker
-// passes down, each worker exports its own lane-occupancy distribution
-// for free.
+// because core.AnalyzeContext publishes its engine metrics to the same
+// registry the worker passes down, each worker exports its own simulation
+// counters for free.
 type workerMetrics struct {
 	unitsReported *obs.Counter
 	unitsFailed   *obs.Counter

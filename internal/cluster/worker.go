@@ -156,7 +156,6 @@ func (w *Worker) runUnit(ctx context.Context, cc *coordClient, name string, ls *
 		Policy:  rcsm,
 		Resume:  seed,
 		Workers: ls.Spec.Workers,
-		Lanes:   ls.Spec.Lanes,
 		Metrics: w.Metrics,
 		// A worker's CSM is remote: every fork lives at the coordinator,
 		// and a degraded local run must not drain its worklist into

@@ -106,17 +106,11 @@ type Config struct {
 	// MemX selects memory X-address semantics (default Verilog).
 	MemX vvp.MemXPolicy
 	// Engine selects the simulation machinery every path worker runs on:
-	// the compiled kernel (default), the reference interpreter, or the
-	// bit-parallel batch engine. Results are identical either way; the
-	// interpreter exists as the differential-testing oracle and for perf
-	// comparison. EngineBatch replaces the worker pool with a single lane
-	// scheduler that packs up to Lanes pending paths into one bit-parallel
-	// simulator (Workers is ignored); the cold-boot path still runs on a
-	// scalar kernel.
+	// the compiled kernel (default) or the reference interpreter. Results
+	// are identical either way — TestEngineEquivalenceEndToEnd asserts
+	// full equality of the dichotomy, tie-offs and Table-4 counts — and
+	// the interpreter exists as the differential-testing oracle.
 	Engine vvp.Engine
-	// Lanes caps the scenarios the batch engine pipelines per sweep,
-	// 1..64; 0 means 64. Ignored by the scalar engines.
-	Lanes int
 	// Budget bounds the run with graceful degradation: on exhaustion the
 	// result is still sound, just over-approximate (Complete=false).
 	Budget Budget
@@ -425,9 +419,6 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.Lanes == 0 {
-		cfg.Lanes = vvp.BatchLanes
-	}
 	if cfg.RemoteObserve && cfg.Checkpoint != nil {
 		return nil, errors.New("core: RemoteObserve is incompatible with checkpointing (an unlocked observe breaks the checkpoint's consistent cut)")
 	}
@@ -619,24 +610,12 @@ func (a *analysis) run(ctx context.Context) error {
 	}
 
 	var wg sync.WaitGroup
-	if a.cfg.Engine == vvp.EngineBatch {
-		// The batch engine runs all paths through one lane scheduler: one
-		// goroutine owns the 64-lane simulator and the worker pool is
-		// replaced entirely (parallelism comes from the lanes, not from
-		// goroutines).
+	for w := 0; w < a.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a.batchWorker()
+			a.worker()
 		}()
-	} else {
-		for w := 0; w < a.cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				a.worker()
-			}()
-		}
 	}
 	wg.Wait()
 	close(done)

@@ -423,40 +423,3 @@ func TestAnalyzeForwardsLintWarnings(t *testing.T) {
 		}
 	}
 }
-
-// The batch engine packs up to 64 path segments into one bit-parallel
-// sweep. Path counts and merge order may differ from the scalar kernel
-// (lanes retire in bulk), but the gate dichotomy is a fixpoint of sound
-// over-approximations and must be identical.
-func TestBatchEngineMatchesKernelDichotomy(t *testing.T) {
-	prog := func(a *rv32.Asm) {
-		a.XWord(0)
-		a.LW(rv32.T0, rv32.X0, 0)
-		a.ANDI(rv32.T0, rv32.T0, 0x7)
-		a.LI(rv32.T1, 0)
-		a.Label("loop")
-		a.ADDI(rv32.T1, rv32.T1, 1)
-		a.ADDI(rv32.T0, rv32.T0, -1)
-		a.BNE(rv32.T0, rv32.X0, "loop")
-		a.SW(rv32.T1, rv32.X0, 4)
-		a.Halt()
-	}
-	ref := analyze(t, core.Config{Engine: vvp.EngineKernel}, prog)
-	for _, lanes := range []int{0, 3} { // full-width and a tight lane cap
-		res := analyze(t, core.Config{Engine: vvp.EngineBatch, Lanes: lanes}, prog)
-		if res.ExercisableCount != ref.ExercisableCount {
-			t.Errorf("lanes=%d: exercisable %d, kernel %d", lanes, res.ExercisableCount, ref.ExercisableCount)
-		}
-		for g := range ref.ExercisableGates {
-			if res.ExercisableGates[g] != ref.ExercisableGates[g] {
-				t.Errorf("lanes=%d: gate %d dichotomy differs", lanes, g)
-			}
-		}
-		if !res.Complete {
-			t.Errorf("lanes=%d: batch run degraded: %+v", lanes, res.Degradation)
-		}
-		if res.PathsSkipped == 0 {
-			t.Errorf("lanes=%d: expected CSM subsumption under batch engine", lanes)
-		}
-	}
-}

@@ -187,11 +187,8 @@ func validate(p *Platform, cfg *Config) error {
 	if cfg.ProgressEvery < 0 {
 		return &ValidationError{Field: "Config.ProgressEvery", Reason: "negative duration"}
 	}
-	if cfg.Engine != vvp.EngineKernel && cfg.Engine != vvp.EngineInterp && cfg.Engine != vvp.EngineBatch {
+	if cfg.Engine != vvp.EngineKernel && cfg.Engine != vvp.EngineInterp {
 		return &ValidationError{Field: "Config.Engine", Reason: fmt.Sprintf("unknown engine %d", cfg.Engine)}
-	}
-	if cfg.Lanes < 0 || cfg.Lanes > vvp.BatchLanes {
-		return &ValidationError{Field: "Config.Lanes", Reason: fmt.Sprintf("%d out of range [0,%d]", cfg.Lanes, vvp.BatchLanes)}
 	}
 	return nil
 }

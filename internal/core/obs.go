@@ -31,7 +31,6 @@ type coreMetrics struct {
 	sweeps       *obs.Counter
 	pending      *obs.Gauge
 	inflight     *obs.Gauge
-	laneOcc      *obs.Histogram
 	trips        *obs.CounterVec // by trip cause
 	quarantines  *obs.Counter
 	pruned       *obs.Counter
@@ -72,8 +71,6 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 			"Unprocessed worklist entries."),
 		inflight: reg.Gauge("symsim_paths_inflight",
 			"Path segments currently simulating."),
-		laneOcc: reg.Histogram("symsim_vvp_lane_occupancy",
-			"Occupied lanes per batch-engine admission round.", obs.ExpBuckets(1, 2, 7)),
 		trips: reg.CounterVec("symsim_budget_trips_total",
 			"Governance stops by cause.", "trip"),
 		quarantines: reg.Counter("symsim_quarantines_total",

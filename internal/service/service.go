@@ -705,7 +705,6 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 	}
 	cc := core.Config{
 		Workers: spec.Workers,
-		Lanes:   spec.Lanes,
 		Budget: core.Budget{
 			WallClock:    time.Duration(spec.DeadlineMS) * time.Millisecond,
 			MaxCycles:    spec.MaxCycles,

@@ -411,6 +411,46 @@ func TestDrainCheckpointsAndRestartResumes(t *testing.T) {
 	}
 }
 
+// TestRestartFailsRetiredEngineJob covers the upgrade path for a job
+// persisted while the bit-parallel batch engine still existed: after a
+// restart, a queued record whose spec says engine "batch" fails with the
+// unknown-engine reason, and the daemon keeps serving other jobs.
+func TestRestartFailsRetiredEngineJob(t *testing.T) {
+	dir := t.TempDir()
+	st, _, _, err := openStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &jobRecord{
+		ID: "retired1",
+		Spec: JobSpec{
+			Design: "dr5", Bench: "loop", Policy: "merge-all",
+			Engine: "batch", MemX: "verilog", Workers: 1,
+		},
+		State:     StateQueued,
+		Submitted: time.Now().UnixNano(),
+	}
+	if err := st.saveJob(old); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, 0x3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	v := waitState(t, svc, old.ID, StateFailed)
+	if !strings.Contains(v.Error, `unknown -engine "batch"`) || !strings.Contains(v.Error, "kernel | interp") {
+		t.Errorf("failure reason %q does not name the unknown engine and the valid ones", v.Error)
+	}
+	fresh, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc, fresh.ID, StateDone)
+}
+
 // TestBackpressureAndCancel exercises the bounded queue (ErrQueueFull at
 // capacity, recovered jobs exempt) and both cancellation paths: a queued
 // job is withdrawn, a running job's analysis context is canceled and the

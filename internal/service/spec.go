@@ -20,7 +20,6 @@ import (
 
 	"symsim/internal/cliflags"
 	"symsim/internal/netlist"
-	"symsim/internal/vvp"
 	"symsim/internal/wire"
 )
 
@@ -40,15 +39,12 @@ type JobSpec struct {
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Engine (kernel | interp | batch), MemX (verilog | sound), Workers
-	// and Lanes tune the simulation machinery. Engine, Workers and Lanes
-	// never change a complete result, so they do not enter the cache key.
-	// Lanes caps the scenarios the batch engine packs per sweep (1..64,
-	// 0 = 64); scalar engines ignore it.
+	// Engine (kernel | interp), MemX (verilog | sound) and Workers tune
+	// the simulation machinery. Engine and Workers do not enter the cache
+	// key (see cacheKey); MemX does.
 	Engine  string `json:"engine,omitempty"`
 	MemX    string `json:"memx,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	Lanes   int    `json:"lanes,omitempty"`
 
 	// Priority orders the queue: higher runs first, FIFO within a level.
 	Priority int `json:"priority,omitempty"`
@@ -71,7 +67,6 @@ func specDefaults(a *cliflags.Analysis) JobSpec {
 		Engine:       a.Engine,
 		MemX:         a.MemX,
 		Workers:      a.Workers,
-		Lanes:        a.Lanes,
 		DeadlineMS:   a.Deadline.Milliseconds(),
 		MaxCycles:    a.MaxCycles,
 		MaxForks:     a.MaxForks,
@@ -111,9 +106,6 @@ func normalize(spec, def JobSpec) (JobSpec, error) {
 	}
 	if spec.Workers == 0 {
 		spec.Workers = 1
-	}
-	if spec.Lanes == 0 {
-		spec.Lanes = def.Lanes
 	}
 	if spec.DeadlineMS == 0 {
 		spec.DeadlineMS = def.DeadlineMS
@@ -155,9 +147,6 @@ func normalize(spec, def JobSpec) (JobSpec, error) {
 	if spec.Workers < 0 || spec.DeadlineMS < 0 || spec.MaxForks < 0 || spec.MaxCSMStates < 0 {
 		return spec, &BadSpecError{Reason: "negative budget or worker count"}
 	}
-	if spec.Lanes < 0 || spec.Lanes > vvp.BatchLanes {
-		return spec, &BadSpecError{Reason: fmt.Sprintf("lanes %d out of range [0,%d]", spec.Lanes, vvp.BatchLanes)}
-	}
 	if spec.Priority < -1<<20 || spec.Priority > 1<<20 {
 		return spec, &BadSpecError{Reason: fmt.Sprintf("priority %d out of range", spec.Priority)}
 	}
@@ -186,8 +175,11 @@ func policyKey(spec JobSpec) string {
 // in ROM init), the design/bench pair that selected the platform harness
 // (monitors, stimulus, state spec), the CSM policy with its parameters and
 // the memory-X semantics. Engine, worker count and budgets are deliberately
-// excluded: engines are result-identical, parallelism does not change the
-// dichotomy, and budget-degraded (incomplete) results are never cached.
+// excluded: the kernel and the interpreter are result-identical (the
+// dichotomy, tie-offs and Table-4 counts; TestEngineEquivalenceEndToEnd
+// asserts full equality on every CPU and MemX policy), parallelism does not
+// change the dichotomy, and budget-degraded (incomplete) results are never
+// cached.
 func cacheKey(designHash netlist.Digest, spec JobSpec) string {
 	h := sha256.New()
 	h.Write([]byte(cacheKeyMagic))

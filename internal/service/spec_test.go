@@ -66,8 +66,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"bad engine", JobSpec{Design: "d", Bench: "b", Engine: "vhdl"}, "engine"},
 		{"bad memx", JobSpec{Design: "d", Bench: "b", MemX: "maybe"}, "memx"},
 		{"negative budget", JobSpec{Design: "d", Bench: "b", MaxForks: -1}, "negative"},
-		{"lanes over cap", JobSpec{Design: "d", Bench: "b", Lanes: 65}, "lanes"},
-		{"negative lanes", JobSpec{Design: "d", Bench: "b", Lanes: -1}, "lanes"},
+		{"retired batch engine", JobSpec{Design: "d", Bench: "b", Engine: "batch"}, "kernel | interp"},
 		{"priority range", JobSpec{Design: "d", Bench: "b", Priority: 1 << 21}, "priority"},
 	}
 	for _, tc := range cases {
@@ -116,9 +115,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	wrk := base
 	wrk.Workers = 8
 	same("workers", wrk)
-	lns := base
-	lns.Lanes = 16
-	same("lanes", lns)
 	bud := base
 	bud.DeadlineMS = 5000
 	bud.MaxForks = 100

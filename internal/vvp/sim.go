@@ -95,13 +95,6 @@ const (
 	// through netlist.EvalGate and slice-of-slices fanout walks. It is the
 	// oracle the kernel is differentially tested against.
 	EngineInterp
-	// EngineBatch is the bit-parallel batched kernel: up to 64 independent
-	// scenarios packed into two bitplanes per net, swept together over the
-	// compiled Program (see BatchSim). Selecting it on a scalar Simulator
-	// falls back to the kernel machinery — the batch data layout lives in
-	// BatchSim, and the core's lane scheduler boots cold paths on the
-	// scalar kernel before packing them into lanes.
-	EngineBatch
 )
 
 // String returns the engine name used by CLI flags.
@@ -111,8 +104,6 @@ func (e Engine) String() string {
 		return "kernel"
 	case EngineInterp:
 		return "interp"
-	case EngineBatch:
-		return "batch"
 	}
 	return fmt.Sprintf("Engine(%d)", uint8(e))
 }

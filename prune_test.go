@@ -44,7 +44,6 @@ func TestConstraintPruningReducesPathsSoundly(t *testing.T) {
 		}{
 			{"interp", symsim.EngineInterp},
 			{"kernel", symsim.EngineKernel},
-			{"batch", symsim.EngineBatch},
 		} {
 			t.Run(fmt.Sprintf("memx=%v/%s", memx, eng.name), func(t *testing.T) {
 				run := func(disable bool) *symsim.Result {

@@ -267,8 +267,7 @@ const (
 )
 
 // SimEngine selects the simulation machinery: the compiled kernel
-// (default), the reference interpreter, or the bit-parallel batch engine.
-// All produce the same dichotomy.
+// (default) or the reference interpreter. Both produce the same result.
 type SimEngine = vvp.Engine
 
 // Simulation engines.
@@ -279,10 +278,6 @@ const (
 	// EngineInterp is the reference interpreter the kernel is
 	// differentially tested against.
 	EngineInterp = vvp.EngineInterp
-	// EngineBatch is the bit-parallel batched kernel: up to 64 pending
-	// paths packed into two bitplanes per net and swept together in one
-	// pass over the levelized design (Config.Lanes caps the packing).
-	EngineBatch = vvp.EngineBatch
 )
 
 // MemXPolicy selects the semantics of memory writes with unknown
