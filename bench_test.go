@@ -14,7 +14,6 @@ package symsim_test
 import (
 	"fmt"
 	"io"
-	"os"
 	"testing"
 
 	"symsim"
@@ -42,14 +41,6 @@ func analyzeOnce(b *testing.B, d symsim.Design, bench string, cfg symsim.Config)
 	}
 	p.Design.Program()
 	b.StartTimer()
-	// SYMSIM_BENCH_ENGINE=interp flips benchmarks that run the default
-	// engine (the kernel) onto the interpreter, so the whole Table-3/4
-	// matrix can be timed under either engine — the acceptance comparison
-	// for the compiled kernel. Benchmarks that pin an engine explicitly
-	// (EngineComparison) are unaffected.
-	if cfg.Engine == symsim.EngineKernel && os.Getenv("SYMSIM_BENCH_ENGINE") == "interp" {
-		cfg.Engine = symsim.EngineInterp
-	}
 	res, err := symsim.Analyze(p, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -184,9 +175,10 @@ func BenchmarkPruneTable4(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res = analyzeOnce(b, symsim.OMSP430, "tHold", symsim.Config{
-						Policy: pol, MemX: memx.m, DisablePrune: mode.disable,
-					})
+					if mode.disable {
+						pol = withoutPruning(pol)
+					}
+					res = analyzeOnce(b, symsim.OMSP430, "tHold", symsim.Config{Policy: pol, MemX: memx.m})
 				}
 				b.ReportMetric(float64(res.PathsCreated), "paths")
 				b.ReportMetric(float64(res.PathsPruned), "pruned")
@@ -350,70 +342,54 @@ func BenchmarkAblationMemX(b *testing.B) {
 }
 
 // BenchmarkEngineComparison runs the same tHold co-analysis on every CPU
-// under both engines — the before/after of the compiled-kernel tentpole.
-// The speedup quoted in README.md is interp ns/op over kernel ns/op per
-// design; ns/cycle normalizes by the simulated cycle count.
+// on the compiled kernel; ns/cycle normalizes by the simulated cycle
+// count. The sub-benchmarks keep their /kernel suffix from when this also
+// timed the reference interpreter, so BENCH_kernel.json rows stay
+// comparable across that change.
 func BenchmarkEngineComparison(b *testing.B) {
-	engines := []struct {
-		name string
-		e    symsim.SimEngine
-	}{
-		{"interp", symsim.EngineInterp},
-		{"kernel", symsim.EngineKernel},
-	}
 	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
-		for _, eng := range engines {
-			d, eng := d, eng
-			b.Run(fmt.Sprintf("%s/%s", d, eng.name), func(b *testing.B) {
-				var res *symsim.Result
-				for i := 0; i < b.N; i++ {
-					res = analyzeOnce(b, d, "tHold", symsim.Config{Engine: eng.e})
-				}
-				b.ReportMetric(float64(res.SimulatedCycles), "cycles")
-				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(res.SimulatedCycles), "ns/cycle")
-			})
-		}
+		d := d
+		b.Run(fmt.Sprintf("%s/kernel", d), func(b *testing.B) {
+			var res *symsim.Result
+			for i := 0; i < b.N; i++ {
+				res = analyzeOnce(b, d, "tHold", symsim.Config{})
+			}
+			b.ReportMetric(float64(res.SimulatedCycles), "cycles")
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(res.SimulatedCycles), "ns/cycle")
+		})
 	}
 }
 
 // BenchmarkSettleSteadyState measures one steady-state clock step of the
 // kernel on the largest core — the hot loop of every co-analysis path.
 // The acceptance criterion is 0 allocs/op: after warm-up, stepping must
-// recycle every queue, scratch vector and NBA batch it touches.
+// recycle every queue, scratch vector and NBA batch it touches. The
+// sub-benchmark keeps its /kernel name from when the interpreter was
+// timed beside it.
 func BenchmarkSettleSteadyState(b *testing.B) {
-	for _, eng := range []struct {
-		name string
-		e    symsim.SimEngine
-	}{
-		{"interp", symsim.EngineInterp},
-		{"kernel", symsim.EngineKernel},
-	} {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
-			p, err := symsim.BuildPlatform(symsim.BM32, "tHold")
-			if err != nil {
+	b.Run("kernel", func(b *testing.B) {
+		p, err := symsim.BuildPlatform(symsim.BM32, "tHold")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim := symsim.NewSimulator(p.Design, symsim.SimOptions{
+			DisableSymbolic: true, // free-run: no halts, no finish
+		})
+		sim.SetMonitorX(&p.Monitor)
+		sim.BindStimulus(p.Stimulus())
+		for i := 0; i < 2000; i++ { // past reset + queue warm-up
+			if _, err := sim.Step(); err != nil {
 				b.Fatal(err)
 			}
-			sim := symsim.NewSimulator(p.Design, symsim.SimOptions{
-				Engine:          eng.e,
-				DisableSymbolic: true, // free-run: no halts, no finish
-			})
-			sim.SetMonitorX(&p.Monitor)
-			sim.BindStimulus(p.Stimulus())
-			for i := 0; i < 2000; i++ { // past reset + queue warm-up
-				if _, err := sim.Step(); err != nil {
-					b.Fatal(err)
-				}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Step(); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkObsOverhead measures the cost of the observability layer on a

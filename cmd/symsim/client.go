@@ -82,7 +82,6 @@ func submitCmd(args []string) int {
 		Policy:       tuning.Policy,
 		K:            tuning.K,
 		MaxStates:    tuning.MaxStates,
-		Engine:       tuning.Engine,
 		MemX:         tuning.MemX,
 		Workers:      tuning.Workers,
 		Priority:     *priority,

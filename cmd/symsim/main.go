@@ -24,7 +24,7 @@
 // min=0x0 max=0x3f) or a bit relation (pc=0x1e rel=dff:a[0]!=dff:b[0]);
 // pc=* applies the fact at every PC. Facts also prove forked children
 // infeasible before they are scheduled, pruning the path explosion at
-// its source; -no-prune disables only that pruning for A/B comparison:
+// its source:
 //
 //	symsim -design omsp430 -bench tHold -policy constrained -constraints facts.txt
 //
@@ -103,12 +103,10 @@ func analyzeMain(args []string, printStats bool) {
 		dumpDir = fs.String("dump-states", "", "write every saved halt state to this directory (sim_state.log files)")
 		vcdOut  = fs.String("vcd", "", "dump the initial symbolic path's waveform (X values visible) to this file")
 
-		// The analysis-tuning flags (policy, engine, memx, workers and the
-		// budget family) are shared with cmd/symsimd via cliflags, so the
+		// The analysis-tuning flags (policy, memx, workers and the budget
+		// family) are shared with cmd/symsimd via cliflags, so the
 		// one-shot CLI and the daemon cannot drift.
 		tuning = cliflags.Register(fs)
-
-		noPrune = fs.Bool("no-prune", false, "disable constraint-aware pre-fork pruning (A/B comparison; pruning is sound and on by default)")
 
 		ckptPath  = fs.String("checkpoint", "", "periodically checkpoint the exploration state to this file (atomic writes)")
 		ckptEvery = fs.Duration("checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
@@ -163,7 +161,6 @@ func analyzeMain(args []string, printStats bool) {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.DisablePrune = *noPrune
 	if *verbose {
 		// The structural pre-check always runs (errors abort the
 		// analysis); -v additionally surfaces its warnings.

@@ -10,7 +10,7 @@
 //	symsimd -listen localhost:8466 -data /var/lib/symsimd
 //	symsimd -jobs 4 -queue 128 -policy clustered -k 4   # server-side defaults
 //
-// The analysis-tuning flags (policy, engine, memx, workers, budgets) set
+// The analysis-tuning flags (policy, memx, workers, budgets) set
 // the daemon-side defaults applied to submissions that leave those fields
 // empty; they are the same flag vocabulary as cmd/symsim (see
 // internal/cliflags). SIGINT/SIGTERM drain gracefully: the HTTP listener

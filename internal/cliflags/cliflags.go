@@ -1,7 +1,7 @@
 // Package cliflags is the single definition of the analysis-tuning
 // command-line flags shared by cmd/symsim (one-shot runs, job submission)
 // and cmd/symsimd (server-side job defaults). Both binaries register the
-// same flag set through Register, so the policy/engine/budget vocabulary
+// same flag set through Register, so the policy/MemX/budget vocabulary
 // cannot drift between the CLI and the daemon; the mapping from flag
 // values to a core.Config lives here too, next to the flags it interprets.
 package cliflags
@@ -26,7 +26,6 @@ type Analysis struct {
 
 	Workers int
 	MemX    string
-	Engine  string
 
 	Deadline     time.Duration
 	MaxCycles    uint64
@@ -45,7 +44,6 @@ func Register(fs *flag.FlagSet) *Analysis {
 	fs.StringVar(&a.Constraints, "constraints", "", "constraint file for the constrained policy")
 	fs.IntVar(&a.Workers, "workers", 1, "parallel path workers")
 	fs.StringVar(&a.MemX, "memx", "verilog", "X-address write semantics: verilog | sound")
-	fs.StringVar(&a.Engine, "engine", "kernel", "simulation engine: kernel (compiled) | interp (reference interpreter)")
 	fs.DurationVar(&a.Deadline, "deadline", 0, "wall-clock budget; on expiry the run degrades soundly instead of erroring")
 	fs.Uint64Var(&a.MaxCycles, "max-sim-cycles", 0, "total simulated-cycle budget across all paths (0 = unlimited)")
 	fs.IntVar(&a.MaxForks, "max-forks", 0, "X-branch fork budget (0 = unlimited)")
@@ -85,17 +83,6 @@ func ParseMemX(s string) (vvp.MemXPolicy, error) {
 		return vvp.MemXSound, nil
 	}
 	return 0, fmt.Errorf("unknown -memx %q (want verilog | sound)", s)
-}
-
-// ParseEngine maps an -engine flag value to its engine.
-func ParseEngine(s string) (vvp.Engine, error) {
-	switch s {
-	case "kernel":
-		return vvp.EngineKernel, nil
-	case "interp":
-		return vvp.EngineInterp, nil
-	}
-	return 0, fmt.Errorf("unknown -engine %q (want kernel | interp)", s)
 }
 
 // NewPolicy constructs the CSM manager a -policy value selects. The
@@ -161,9 +148,6 @@ func (a *Analysis) Config(spec *vvp.StateSpec) (core.Config, error) {
 	cfg := core.Config{Workers: a.Workers, Budget: a.Budget()}
 	var err error
 	if cfg.MemX, err = ParseMemX(a.MemX); err != nil {
-		return cfg, err
-	}
-	if cfg.Engine, err = ParseEngine(a.Engine); err != nil {
 		return cfg, err
 	}
 	if cfg.Policy, err = a.ManagerFor(spec); err != nil {

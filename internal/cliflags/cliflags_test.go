@@ -24,7 +24,7 @@ import (
 // both register exactly this analysis flag vocabulary through Register,
 // so a flag added or renamed in only one place fails here.
 var sharedFlagNames = []string{
-	"constraints", "deadline", "engine", "k", "max-csm-states",
+	"constraints", "deadline", "k", "max-csm-states",
 	"max-forks", "max-sim-cycles", "max-states", "memx", "policy",
 	"workers",
 }
@@ -61,7 +61,7 @@ func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 
 	args := []string{
 		"-policy", "clustered", "-k", "7", "-workers", "3",
-		"-engine", "interp", "-memx", "sound",
+		"-memx", "sound",
 		"-deadline", "90s", "-max-sim-cycles", "123456",
 		"-max-forks", "9", "-max-csm-states", "11",
 	}
@@ -122,7 +122,7 @@ func TestClusterFlagsPinnedAndDisjoint(t *testing.T) {
 func TestConfigInterpretsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	a := cliflags.Register(fs)
-	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-engine", "interp", "-memx", "sound", "-workers", "2", "-max-forks", "5"}); err != nil {
+	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-memx", "sound", "-workers", "2", "-max-forks", "5"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := a.Config(nil)
@@ -132,7 +132,7 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	if cfg.Policy.Name() != "exact" {
 		t.Errorf("policy = %q", cfg.Policy.Name())
 	}
-	if cfg.Engine != vvp.EngineInterp || cfg.MemX != vvp.MemXSound || cfg.Workers != 2 {
+	if cfg.MemX != vvp.MemXSound || cfg.Workers != 2 {
 		t.Errorf("config = %+v", cfg)
 	}
 	if want := (core.Budget{MaxForks: 5}); cfg.Budget != want {
@@ -141,18 +141,20 @@ func TestConfigInterpretsFlags(t *testing.T) {
 }
 
 // TestConfigRejectsBadValues checks every bad flag value is refused with
-// an error naming what is wrong. -engine batch and -lanes are the retired
-// bit-parallel engine's vocabulary: batch is an unknown engine like any
-// other, and -lanes is no longer a flag at all.
+// an error naming what is wrong. -engine, -lanes and -no-prune are
+// retired knobs (every run simulates on the compiled kernel, with
+// constraint pruning always on): none of them is a flag any more, so the
+// flag parser refuses each by name.
 func TestConfigRejectsBadValues(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-memx", "bogus"}, "verilog | sound"},
-		{[]string{"-engine", "bogus"}, "kernel | interp"},
-		{[]string{"-engine", "batch"}, "kernel | interp"},
-		{[]string{"-lanes", "8"}, "-lanes"},
+		{[]string{"-engine", "kernel"}, "flag provided but not defined: -engine"},
+		{[]string{"-engine", "batch"}, "flag provided but not defined: -engine"},
+		{[]string{"-lanes", "8"}, "flag provided but not defined: -lanes"},
+		{[]string{"-no-prune"}, "flag provided but not defined: -no-prune"},
 		{[]string{"-policy", "bogus"}, "bogus"},
 		{[]string{"-policy", "constrained"}, "constrain"}, // no spec/constraint file
 	} {

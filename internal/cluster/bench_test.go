@@ -12,7 +12,6 @@ import (
 	"symsim/internal/obs"
 	"symsim/internal/prog"
 	"symsim/internal/report"
-	"symsim/internal/vvp"
 )
 
 // The cluster throughput comparison: the same workload — every Table-1
@@ -80,7 +79,7 @@ func BenchmarkClusterSingleNode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
 			res, err := core.Analyze(benchPlatform(b, s.Design, s.Bench), core.Config{
-				Engine: vvp.EngineKernel, Metrics: obs.NewRegistry(),
+				Metrics: obs.NewRegistry(),
 			})
 			if err != nil {
 				b.Fatal(err)

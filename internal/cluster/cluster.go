@@ -62,12 +62,11 @@ type RunSpec struct {
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Engine (kernel | interp), MemX (verilog | sound) and Workers tune
-	// the simulation machinery each worker runs its units on. Engine never
-	// changes a complete result (TestEngineEquivalenceEndToEnd asserts
-	// kernel-vs-interpreter equality) and Workers never changes the
-	// dichotomy. NewRun rejects an unknown Engine or MemX up front.
-	Engine  string `json:"engine,omitempty"`
+	// MemX (verilog | sound) and Workers tune the simulation each worker
+	// runs its units on (always the compiled kernel; a spec that still
+	// carries the retired "engine" member decodes with it ignored).
+	// Workers never changes the dichotomy. NewRun rejects an unknown MemX
+	// up front.
 	MemX    string `json:"memx,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 

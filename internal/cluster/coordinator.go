@@ -186,17 +186,11 @@ func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
 	if spec.MaxStates <= 0 {
 		spec.MaxStates = 4096
 	}
-	if spec.Engine == "" {
-		spec.Engine = "kernel"
-	}
 	if spec.MemX == "" {
 		spec.MemX = "verilog"
 	}
-	// Validate what every worker will parse: a spec its engine or MemX
-	// parse rejects would fail each lease until MaxAttempts.
-	if _, err := cliflags.ParseEngine(spec.Engine); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
+	// Validate what every worker will parse: a spec its MemX parse
+	// rejects would fail each lease until MaxAttempts.
 	if _, err := cliflags.ParseMemX(spec.MemX); err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -14,7 +18,6 @@ import (
 	"symsim/internal/core"
 	"symsim/internal/obs"
 	"symsim/internal/report"
-	"symsim/internal/vvp"
 )
 
 // testCluster is one in-process fleet: a coordinator behind a real HTTP
@@ -108,14 +111,14 @@ func TestClusterEquivalenceEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, err := core.Analyze(p, core.Config{
-					Engine: vvp.EngineKernel, MemX: mx, Metrics: obs.NewRegistry(),
+					MemX: mx, Metrics: obs.NewRegistry(),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				id, err := tc.coord.NewRun(RunSpec{
-					Design: string(d), Bench: "tHold", MemX: memx, Engine: "kernel",
+					Design: string(d), Bench: "tHold", MemX: memx,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -164,7 +167,7 @@ func TestClusterPolicySweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, err := core.Analyze(p, core.Config{
-				Engine: vvp.EngineKernel, Policy: m, Metrics: obs.NewRegistry(),
+				Policy: m, Metrics: obs.NewRegistry(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -199,13 +202,59 @@ func TestClusterRejectsBadSpecs(t *testing.T) {
 		{Design: "dr5"},                  // no bench
 		{Design: "nope", Bench: "tHold"}, // unknown design
 		{Design: "dr5", Bench: "tHold", Policy: "constrained"}, // needs local file
-		{Design: "dr5", Bench: "tHold", Engine: "bogus"},       // unknown engine
-		{Design: "dr5", Bench: "tHold", Engine: "batch"},       // retired engine
 		{Design: "dr5", Bench: "tHold", MemX: "bogus"},         // unknown MemX
 	} {
 		if _, err := coord.NewRun(spec); !errors.Is(err, ErrBadPayload) {
 			t.Errorf("spec %+v: err = %v, want ErrBadPayload", spec, err)
 		}
+	}
+}
+
+// TestClusterIgnoresRetiredEngineMember posts a run spec that still names
+// an engine, as clients written before the engine choice was retired do:
+// the coordinator accepts it, normalizes it to the same spec as one
+// without the member, and serves a byte-identical result.
+func TestClusterIgnoresRetiredEngineMember(t *testing.T) {
+	tc := startCluster(t, Config{}, 1)
+	run := func(body string) (RunSpec, []byte) {
+		t.Helper()
+		resp, err := http.Post(tc.ts.URL+"/cluster/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var created createRunResponse
+		err = json.NewDecoder(resp.Body).Decode(&created)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("POST %s: status %s, decode %v", body, resp.Status, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if _, err := tc.coord.Wait(ctx, created.ID); err != nil {
+			t.Fatal(err)
+		}
+		st, err := tc.coord.Status(created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.Get(tc.ts.URL + "/cluster/runs/" + created.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		data, err := io.ReadAll(res.Body)
+		if err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("result: status %s, read %v", res.Status, err)
+		}
+		return st.Spec, data
+	}
+	legacySpec, legacy := run(`{"design":"dr5","bench":"tea8","engine":"interp"}`)
+	plainSpec, plain := run(`{"design":"dr5","bench":"tea8"}`)
+	if legacySpec != plainSpec {
+		t.Errorf("normalized specs differ: with engine %+v, without %+v", legacySpec, plainSpec)
+	}
+	if !bytes.Equal(legacy, plain) {
+		t.Errorf("results differ:\n with engine %s\n without    %s", legacy, plain)
 	}
 }
 

@@ -98,7 +98,7 @@ func newCoordMetrics(reg *obs.Registry, c *Coordinator) *coordMetrics {
 }
 
 // Worker metrics: per-worker registries mean per-worker series, and
-// because core.AnalyzeContext publishes its engine metrics to the same
+// because core.AnalyzeContext publishes its simulation metrics to the same
 // registry the worker passes down, each worker exports its own simulation
 // counters for free.
 type workerMetrics struct {

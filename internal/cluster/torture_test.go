@@ -28,7 +28,7 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Analyze(p, core.Config{Engine: vvp.EngineKernel, Metrics: obs.NewRegistry()})
+	want, err := core.Analyze(p, core.Config{Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

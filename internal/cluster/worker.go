@@ -34,9 +34,9 @@ type Worker struct {
 	Name string
 	// Slots is the number of units simulated concurrently (default 1).
 	Slots int
-	// Metrics receives worker metrics — including the engine metrics of
-	// every unit simulation (lane occupancy per worker). Nil uses
-	// obs.Default.
+	// Metrics receives worker metrics — including the simulation metrics
+	// of every unit (gate evaluations and kernel sweeps per worker). Nil
+	// uses obs.Default.
 	Metrics *obs.Registry
 	// Logf receives operational logging; nil discards.
 	Logf func(format string, args ...any)
@@ -168,10 +168,6 @@ func (w *Worker) runUnit(ctx context.Context, cc *coordClient, name string, ls *
 		RemoteObserve: true,
 	}
 	if cfg.MemX, err = cliflags.ParseMemX(ls.Spec.MemX); err != nil {
-		w.failUnit(cc, name, ls, err.Error())
-		return
-	}
-	if cfg.Engine, err = cliflags.ParseEngine(ls.Spec.Engine); err != nil {
 		w.failUnit(cc, name, ls, err.Error())
 		return
 	}

@@ -105,12 +105,6 @@ type Config struct {
 	MaxPaths int
 	// MemX selects memory X-address semantics (default Verilog).
 	MemX vvp.MemXPolicy
-	// Engine selects the simulation machinery every path worker runs on:
-	// the compiled kernel (default) or the reference interpreter. Results
-	// are identical either way — TestEngineEquivalenceEndToEnd asserts
-	// full equality of the dichotomy, tie-offs and Table-4 counts — and
-	// the interpreter exists as the differential-testing oracle.
-	Engine vvp.Engine
 	// Budget bounds the run with graceful degradation: on exhaustion the
 	// result is still sound, just over-approximate (Complete=false).
 	Budget Budget
@@ -141,10 +135,6 @@ type Config struct {
 	// Error-severity findings always abort Analyze; warnings are
 	// tolerated and, with a nil LintWarn, silently dropped.
 	LintWarn func(lint.Diag)
-	// SkipLint disables the structural pre-check entirely (the netlist is
-	// then only validated by Freeze, whose first-failure errors are far
-	// less descriptive).
-	SkipLint bool
 	// DisableDrainMerge stops a degraded run from force-merging its
 	// pending frontier into the CSM before finishing. The default merge
 	// keeps the local dichotomy sound; cluster workers disable it because
@@ -175,14 +165,11 @@ type Config struct {
 	// `symsim explain`. Nil disables tracing at the cost of one pointer
 	// test per segment.
 	Tracer *obs.Tracer
-	// DisablePrune turns off constraint-aware fork pruning: when the
-	// policy can prove a forked child infeasible under the user's
-	// application facts (csm.Pruner), the scheduler normally drops the
-	// child before it is ever created. Pruning is sound by construction —
-	// only states contradicting a designer-supplied fact are dropped — so
-	// this knob exists for A/B measurement (the bench harness runs each
-	// cell with pruning off and on), not as a safety valve.
-	DisablePrune bool
+
+	// interp runs every path worker on the reference interpreter
+	// (vvp.NewInterpreter) instead of the compiled kernel; only the
+	// cross-engine equivalence test sets it (export_test.go).
+	interp bool
 }
 
 // PathEnd describes how one simulated path segment terminated.
@@ -424,10 +411,8 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 	}
 	// Structural pre-check before Freeze: lint tolerates broken designs
 	// and reports every hazard at once, where Freeze stops at the first.
-	if !cfg.SkipLint {
-		if err := preCheck(p, &cfg); err != nil {
-			return nil, err
-		}
+	if err := preCheck(p, &cfg); err != nil {
+		return nil, err
 	}
 	if err := p.Design.Freeze(); err != nil {
 		return nil, err
@@ -441,9 +426,7 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 	a.m = newCoreMetrics(reg)
 	// Capture the policy's optional capabilities BEFORE the Instrument
 	// wrap below hides them: the wrapper forwards only the Manager surface.
-	if !cfg.DisablePrune {
-		a.pruner, _ = cfg.Policy.(csm.Pruner)
-	}
+	a.pruner, _ = cfg.Policy.(csm.Pruner)
 	if hs, ok := cfg.Policy.(csm.HeatSink); ok && !cfg.RemoteObserve {
 		// Per-PC fork counts drive the policy's merge-ordering heuristic.
 		// The map is this run's own state (not the process-global metrics
@@ -483,7 +466,6 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 		Design:  p.Design.Name,
 		Bench:   p.Bench,
 		Policy:  a.cfg.Policy.Name(),
-		Engine:  cfg.Engine.String(),
 		Workers: cfg.Workers,
 	})
 	if err := a.run(ctx); err != nil {
@@ -528,9 +510,8 @@ type analysis struct {
 	ckptErr     error
 
 	// pruner is the policy's pre-fork feasibility test (nil when the
-	// policy has none or Config.DisablePrune is set). Immutable after
-	// AnalyzeContext; FeasibleChild is safe without a.mu but classify
-	// happens to hold it anyway.
+	// policy has none). Immutable after AnalyzeContext; FeasibleChild is
+	// safe without a.mu but classify happens to hold it anyway.
 	pruner csm.Pruner
 	// forksByPC feeds the policy's merge-ordering heat function; nil
 	// unless the policy is a csm.HeatSink. Guarded by a.mu.
@@ -929,11 +910,15 @@ func (a *analysis) simulatePath(id int, e entry, cached **vvp.Simulator) (out pa
 	if e.state.Bits.Width() != 0 && *cached != nil {
 		sim = *cached
 	} else {
-		opts := vvp.Options{MemX: a.cfg.MemX, Engine: a.cfg.Engine}
+		opts := vvp.Options{MemX: a.cfg.MemX}
 		if e.state.Bits.Width() == 0 {
 			opts.Trace = a.cfg.Trace
 		}
-		sim = vvp.New(a.p.Design, opts)
+		if a.cfg.interp {
+			sim = vvp.NewInterpreter(a.p.Design, opts)
+		} else {
+			sim = vvp.New(a.p.Design, opts)
+		}
 		sim.SetMonitorX(&a.p.Monitor)
 		sim.BindStimulus(a.p.Stimulus())
 	}

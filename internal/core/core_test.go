@@ -391,14 +391,14 @@ func TestAnalyzeRejectsCombLoopViaLint(t *testing.T) {
 		t.Fatalf("error should carry the lint code NL001: %v", err)
 	}
 
-	// SkipLint falls through to Freeze, which still rejects the design —
-	// but with its own error, not a coded diagnostic.
-	_, err = core.Analyze(p, core.Config{SkipLint: true})
+	// Freeze, which Analyze runs after the pre-check, still rejects the
+	// design on its own — but with its own error, not a coded diagnostic.
+	err = p.Design.Freeze()
 	if err == nil {
 		t.Fatal("comb loop passed Freeze")
 	}
 	if strings.Contains(err.Error(), "NL001") {
-		t.Fatalf("SkipLint error should come from Freeze, got: %v", err)
+		t.Fatalf("Freeze error should be its own, got: %v", err)
 	}
 }
 

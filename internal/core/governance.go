@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"symsim/internal/netlist"
-	"symsim/internal/vvp"
 )
 
 // This file holds the run-governance layer: budgets, graceful degradation,
@@ -186,9 +185,6 @@ func validate(p *Platform, cfg *Config) error {
 	}
 	if cfg.ProgressEvery < 0 {
 		return &ValidationError{Field: "Config.ProgressEvery", Reason: "negative duration"}
-	}
-	if cfg.Engine != vvp.EngineKernel && cfg.Engine != vvp.EngineInterp {
-		return &ValidationError{Field: "Config.Engine", Reason: fmt.Sprintf("unknown engine %d", cfg.Engine)}
 	}
 	return nil
 }

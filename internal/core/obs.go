@@ -11,7 +11,7 @@ import (
 // the scheduler pays map lookups once per run, not once per event. All
 // publication happens at segment granularity (a path halt, a CSM verdict,
 // a budget trip) — never inside the per-cycle simulation loop; the
-// engines accumulate plain integers and the deltas land here when a
+// simulator accumulates plain integers and the deltas land here when a
 // segment is absorbed.
 type coreMetrics struct {
 	runs         *obs.Counter
@@ -64,7 +64,7 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		cycles: reg.Counter("symsim_cycles_total",
 			"Simulated clock cycles across all paths."),
 		evals: reg.Counter("symsim_vvp_gate_evals_total",
-			"Gate evaluations executed by the simulation engines."),
+			"Gate evaluations executed by the simulator."),
 		sweeps: reg.Counter("symsim_vvp_kernel_sweeps_total",
 			"Level bitmap rounds executed by the compiled kernel."),
 		pending: reg.Gauge("symsim_paths_pending",

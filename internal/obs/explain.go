@@ -18,7 +18,7 @@ func Explain(w io.Writer, log *TraceLog) error {
 		if m.Bench != "" {
 			ew.printf(" bench=%s", m.Bench)
 		}
-		ew.printf(" policy=%s engine=%s workers=%d\n", m.Policy, m.Engine, m.Workers)
+		ew.printf(" policy=%s workers=%d\n", m.Policy, m.Workers)
 	}
 
 	ew.printf("\nfork tree (%d path segments):\n", len(log.Spans))

@@ -7,8 +7,8 @@
 // The package deliberately depends on nothing but the standard library and
 // nothing inside symsim, so every layer — vvp, csm, core, service, the
 // CLIs — can publish into it without import cycles. Instrument publishers
-// follow one rule: nothing on a per-cycle hot path. The simulation engines
-// accumulate plain integers (vvp's cycle/sweep/eval counters) and the
+// follow one rule: nothing on a per-cycle hot path. The simulator
+// accumulates plain integers (vvp's cycle/sweep/eval counters) and the
 // analysis driver publishes the deltas once per path segment, so a run
 // with observability "on" (it always is; only tracing is optional) stays
 // within noise of one without.

@@ -182,7 +182,7 @@ func TestPrometheusExpositionShape(t *testing.T) {
 func TestTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.Emit(Meta{T: RecMeta, Design: "cpu8", Bench: "fib", Policy: "exact", Engine: "kernel", Workers: 4})
+	tr.Emit(Meta{T: RecMeta, Design: "cpu8", Bench: "fib", Policy: "exact", Workers: 4})
 	tr.Emit(Span{T: RecSpan, ID: 0, Parent: -1, End: "forked", HaltPC: 0x10, Cycles: 100, WallUS: 1500})
 	tr.Emit(Span{T: RecSpan, ID: 1, Parent: 0, StartPC: 0x10, Forced: "1", End: "finished", Cycles: 50, WallUS: 800})
 	tr.Emit(Span{T: RecSpan, ID: 2, Parent: 0, StartPC: 0x10, Forced: "0", End: "subsumed", HaltPC: 0x10, Cycles: 10, WallUS: 90})
@@ -216,6 +216,8 @@ func TestTracerRoundTrip(t *testing.T) {
 }
 
 func TestReadTraceSkipsUnknownRecords(t *testing.T) {
+	// The meta line is an older trace's: it still carries the retired engine
+	// field, which decoding ignores.
 	in := strings.NewReader(`{"t":"meta","design":"d","policy":"exact","engine":"kernel","workers":1}
 {"t":"future-record","x":1}
 
@@ -252,7 +254,7 @@ func TestNilTracer(t *testing.T) {
 
 func TestExplainRendersTreeAndHotSpots(t *testing.T) {
 	log := &TraceLog{
-		Meta: &Meta{Design: "cpu8", Bench: "fib", Policy: "exact", Engine: "kernel", Workers: 2},
+		Meta: &Meta{Design: "cpu8", Bench: "fib", Policy: "exact", Workers: 2},
 		Spans: []Span{
 			{ID: 0, Parent: -1, End: "forked", HaltPC: 0x10, Cycles: 100, WallUS: 2_500_000},
 			{ID: 1, Parent: 0, StartPC: 0x10, Forced: "1", End: "finished", Cycles: 50, WallUS: 1200},

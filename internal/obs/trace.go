@@ -30,7 +30,6 @@ type Meta struct {
 	Design  string `json:"design"`
 	Bench   string `json:"bench,omitempty"`
 	Policy  string `json:"policy"`
-	Engine  string `json:"engine"`
 	Workers int    `json:"workers"`
 }
 

@@ -10,6 +10,10 @@ import (
 	"time"
 )
 
+// maxSpecBytes caps a POST /jobs body, the same 1 MiB every cluster
+// coordinator endpoint allows; a real spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
 // Handler wraps a Service in its HTTP API (stdlib net/http, JSON bodies):
 //
 //	GET  /healthz               liveness probe
@@ -23,7 +27,8 @@ import (
 //	POST /jobs/{id}/cancel      cancel a queued or running job
 //
 // Error mapping: invalid spec -> 400, unknown job -> 404, not-done result
-// or cancel-after-finish -> 409, full queue -> 429, draining -> 503.
+// or cancel-after-finish -> 409, spec body over maxSpecBytes -> 413, full
+// queue -> 429, draining -> 503.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -43,8 +48,13 @@ func Handler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			s.writeErr(w, status, fmt.Errorf("decoding job spec: %w", err))
 			return
 		}
 		view, err := s.Submit(spec)

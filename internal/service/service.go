@@ -207,7 +207,10 @@ type metricsState struct {
 	remoteHits   uint64
 	remoteMiss   uint64
 	remoteErrs   uint64
-	engines      map[string]*engineStat
+	// cycles and busySeconds accrue the simulation throughput of every
+	// job that ran an analysis (cache hits add nothing).
+	cycles      uint64
+	busySeconds float64
 }
 
 // CacheClient is the cluster-wide second-level result cache seam (see
@@ -218,11 +221,6 @@ type CacheClient interface {
 	Get(key string) (data []byte, ok bool, err error)
 	// Put publishes a complete result summary under its cache key.
 	Put(key string, data []byte) error
-}
-
-type engineStat struct {
-	cycles  uint64
-	seconds float64
 }
 
 // ErrUnknownJob is returned for operations on a job ID the service has
@@ -331,7 +329,6 @@ func New(cfg Config) (*Service, error) {
 			}
 			return float64(n)
 		})
-	s.m.engines = make(map[string]*engineStat)
 
 	recs, errs := st.loadJobs()
 	for _, e := range errs {
@@ -718,9 +715,6 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 	if cc.Policy, err = cliflags.NewPolicy(spec.Policy, spec.K, spec.MaxStates); err != nil {
 		return nil, err
 	}
-	if cc.Engine, err = cliflags.ParseEngine(spec.Engine); err != nil {
-		return nil, err
-	}
 	if cc.MemX, err = cliflags.ParseMemX(spec.MemX); err != nil {
 		return nil, err
 	}
@@ -879,7 +873,7 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			}
 		}
 		s.store.removeCheckpoint(id)
-		s.noteEngineLocked(j.rec, res)
+		s.noteThroughputLocked(j.rec, res)
 		publish = append(publish, s.om.done)
 
 	case s.draining:
@@ -916,7 +910,7 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			s.noteStoreOKLocked()
 		}
 		s.store.removeCheckpoint(id)
-		s.noteEngineLocked(j.rec, res)
+		s.noteThroughputLocked(j.rec, res)
 	}
 
 	j.cancel = nil
@@ -1019,16 +1013,12 @@ func (s *Service) removeFollowerLocked(id string) bool {
 	return false
 }
 
-// noteEngineLocked accrues per-engine throughput counters (mu held).
-func (s *Service) noteEngineLocked(rec *jobRecord, res *core.Result) {
-	st := s.m.engines[rec.Spec.Engine]
-	if st == nil {
-		st = &engineStat{}
-		s.m.engines[rec.Spec.Engine] = st
-	}
-	st.cycles += res.SimulatedCycles
+// noteThroughputLocked accrues the simulation throughput counters (mu
+// held).
+func (s *Service) noteThroughputLocked(rec *jobRecord, res *core.Result) {
+	s.m.cycles += res.SimulatedCycles
 	if rec.Finished > rec.Started && rec.Started > 0 {
-		st.seconds += time.Duration(rec.Finished - rec.Started).Seconds()
+		s.m.busySeconds += time.Duration(rec.Finished - rec.Started).Seconds()
 	}
 }
 
@@ -1387,14 +1377,11 @@ type Metrics struct {
 	// RemoteCacheHits counts local misses the cluster memo table
 	// satisfied; errors are operations against it that failed (always
 	// treated as misses).
-	RemoteCacheHits   uint64                   `json:"remoteCacheHits"`
-	RemoteCacheMisses uint64                   `json:"remoteCacheMisses"`
-	RemoteCacheErrors uint64                   `json:"remoteCacheErrors"`
-	Engines           map[string]EngineMetrics `json:"engines"`
-}
-
-// EngineMetrics is accumulated per-engine throughput.
-type EngineMetrics struct {
+	RemoteCacheHits   uint64 `json:"remoteCacheHits"`
+	RemoteCacheMisses uint64 `json:"remoteCacheMisses"`
+	RemoteCacheErrors uint64 `json:"remoteCacheErrors"`
+	// SimulatedCycles and BusySeconds accumulate over every job that ran
+	// an analysis (start to finish); CyclesPerSec is their ratio.
 	SimulatedCycles uint64  `json:"simulatedCycles"`
 	BusySeconds     float64 `json:"busySeconds"`
 	CyclesPerSec    float64 `json:"cyclesPerSec"`
@@ -1426,7 +1413,8 @@ func (s *Service) MetricsSnapshot() Metrics {
 		RemoteCacheHits:   s.m.remoteHits,
 		RemoteCacheMisses: s.m.remoteMiss,
 		RemoteCacheErrors: s.m.remoteErrs,
-		Engines:           make(map[string]EngineMetrics),
+		SimulatedCycles:   s.m.cycles,
+		BusySeconds:       s.m.busySeconds,
 	}
 	for _, j := range s.jobs {
 		m.JobsByState[j.rec.State]++
@@ -1437,12 +1425,8 @@ func (s *Service) MetricsSnapshot() Metrics {
 	if lookups := m.CacheHits + m.CacheMisses; lookups > 0 {
 		m.CacheHitRate = float64(m.CacheHits) / float64(lookups)
 	}
-	for name, st := range s.m.engines {
-		em := EngineMetrics{SimulatedCycles: st.cycles, BusySeconds: st.seconds}
-		if st.seconds > 0 {
-			em.CyclesPerSec = float64(st.cycles) / st.seconds
-		}
-		m.Engines[name] = em
+	if m.BusySeconds > 0 {
+		m.CyclesPerSec = float64(m.SimulatedCycles) / m.BusySeconds
 	}
 	return m
 }

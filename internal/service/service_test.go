@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -218,8 +219,9 @@ func TestServiceEndToEndHTTP(t *testing.T) {
 	if after.CacheHits != before.CacheHits+1 {
 		t.Errorf("cache hits %d -> %d, want +1", before.CacheHits, after.CacheHits)
 	}
-	if !reflect.DeepEqual(after.Engines, before.Engines) {
-		t.Errorf("cache hit burned analysis cycles: %+v -> %+v", before.Engines, after.Engines)
+	if after.SimulatedCycles != before.SimulatedCycles || after.BusySeconds != before.BusySeconds {
+		t.Errorf("cache hit burned analysis cycles: %d/%vs -> %d/%vs",
+			before.SimulatedCycles, before.BusySeconds, after.SimulatedCycles, after.BusySeconds)
 	}
 	if after.CacheHitRate <= 0 {
 		t.Errorf("cache hit rate = %v", after.CacheHitRate)
@@ -411,27 +413,50 @@ func TestDrainCheckpointsAndRestartResumes(t *testing.T) {
 	}
 }
 
-// TestRestartFailsRetiredEngineJob covers the upgrade path for a job
-// persisted while the bit-parallel batch engine still existed: after a
-// restart, a queued record whose spec says engine "batch" fails with the
-// unknown-engine reason, and the daemon keeps serving other jobs.
-func TestRestartFailsRetiredEngineJob(t *testing.T) {
+// legacyJobRecords are SYMSIMJ1 images byte for byte as the daemon wrote
+// them while a job spec could still select its simulation engine: queued
+// dr5/loop merge-all jobs, one per engine value that was ever valid
+// (batch was retired first, kernel and interp later). Each carries the
+// cache key and design hash its submission derived for loopPlatform(0x3).
+var legacyJobRecords = map[string]string{
+	"kernel": "53594d53494d4a310d0000006c65676163792d6b65726e656c03000000647235040000006c6f6f70090000006d657267652d616c6c060000006b65726e656c07000000766572696c6f6700000000000000000100000000000000000000000000000000000000000000000000000000000000000000b0d4acc66c1800000000000000000000000000000000000000004000000039393264346630633031646263656164653030323830613339626430343130376331396239653730373530643663356465303737383031303135363366656266400000003738646337396232353238646266303061623134323263373535336133346337336639396466336138383465343337343536383162323334346230323032323300",
+	"interp": "53594d53494d4a310d0000006c65676163792d696e7465727003000000647235040000006c6f6f70090000006d657267652d616c6c06000000696e7465727007000000766572696c6f6700000000000000000100000000000000000000000000000000000000000000000000000000000000000000b0d4acc66c1800000000000000000000000000000000000000004000000039393264346630633031646263656164653030323830613339626430343130376331396239653730373530643663356465303737383031303135363366656266400000003738646337396232353238646266303061623134323263373535336133346337336639396466336138383465343337343536383162323334346230323032323300",
+	"batch":  "53594d53494d4a310c0000006c65676163792d626174636803000000647235040000006c6f6f70090000006d657267652d616c6c05000000626174636807000000766572696c6f6700000000000000000100000000000000000000000000000000000000000000000000000000000000000000b0d4acc66c1800000000000000000000000000000000000000004000000039393264346630633031646263656164653030323830613339626430343130376331396239653730373530643663356465303737383031303135363366656266400000003738646337396232353238646266303061623134323263373535336133346337336639396466336138383465343337343536383162323334346230323032323300",
+}
+
+// TestRestartRunsLegacyEngineJobs covers the upgrade path for jobs queued
+// while a spec still named its engine: each legacy record decodes, keeps
+// its engine slot and re-encodes byte-identically; after a restart every
+// one of them completes (on the kernel, the only engine) with the
+// uninterrupted reference result; the engine slot survives the re-persist
+// of the finished record; and a fresh submission of the same analysis
+// derives the very cache key the legacy records carry.
+func TestRestartRunsLegacyEngineJobs(t *testing.T) {
 	dir := t.TempDir()
 	st, _, _, err := openStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := &jobRecord{
-		ID: "retired1",
-		Spec: JobSpec{
-			Design: "dr5", Bench: "loop", Policy: "merge-all",
-			Engine: "batch", MemX: "verilog", Workers: 1,
-		},
-		State:     StateQueued,
-		Submitted: time.Now().UnixNano(),
-	}
-	if err := st.saveJob(old); err != nil {
-		t.Fatal(err)
+	var legacyKey string
+	for eng, h := range legacyJobRecords {
+		img, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := decodeJobRecord(img)
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		if rec.legacyEngine != eng || rec.ID != "legacy-"+eng || rec.State != StateQueued {
+			t.Fatalf("%s: decoded %+v (engine slot %q)", eng, rec, rec.legacyEngine)
+		}
+		if !bytes.Equal(rec.encode(), img) {
+			t.Fatalf("%s: legacy record does not re-encode byte-identically", eng)
+		}
+		legacyKey = rec.CacheKey
+		if err := st.saveJob(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, 0x3)})
@@ -440,15 +465,137 @@ func TestRestartFailsRetiredEngineJob(t *testing.T) {
 	}
 	defer svc.Close()
 
-	v := waitState(t, svc, old.ID, StateFailed)
-	if !strings.Contains(v.Error, `unknown -engine "batch"`) || !strings.Contains(v.Error, "kernel | interp") {
-		t.Errorf("failure reason %q does not name the unknown engine and the valid ones", v.Error)
+	ref, err := core.Analyze(buildLoop(t, 0x3), core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := summarize(JobSpec{Design: "dr5", Bench: "loop"}, ref)
+	for eng := range legacyJobRecords {
+		waitState(t, svc, "legacy-"+eng, StateDone)
+		data, err := svc.Result("legacy-" + eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &ResultSummary{}
+		if err := json.Unmarshal(data, got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: legacy job result differs from the kernel reference:\n got %+v\nwant %+v", eng, got, want)
+		}
+	}
+
 	fresh, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fresh.CacheKey != legacyKey {
+		t.Errorf("cache key drifted: fresh %s, legacy %s", fresh.CacheKey, legacyKey)
+	}
 	waitState(t, svc, fresh.ID, StateDone)
+
+	recs, errs := st.loadJobs()
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	for _, rec := range recs {
+		want := strings.TrimPrefix(rec.ID, "legacy-")
+		if rec.ID == fresh.ID {
+			want = ""
+		}
+		if rec.legacyEngine != want {
+			t.Errorf("record %s persisted engine slot %q, want %q", rec.ID, rec.legacyEngine, want)
+		}
+	}
+}
+
+// postJob submits body to POST /jobs and returns the response status and,
+// on 201, the decoded view.
+func postJob(t *testing.T, url, body string) (int, JobView) {
+	t.Helper()
+	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var view JobView
+	if resp.StatusCode == http.StatusCreated {
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, view
+}
+
+// TestSubmitIgnoresRetiredEngineMember posts a spec that still names an
+// engine, as clients written before the engine choice was retired do: it
+// is accepted, and it is the same analysis as the spec without it — same
+// cache key, byte-identical result.
+func TestSubmitIgnoresRetiredEngineMember(t *testing.T) {
+	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, BuildPlatform: loopPlatform(t, 0x3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(Handler(svc))
+	defer ts.Close()
+
+	code, legacy := postJob(t, ts.URL, `{"design":"dr5","bench":"loop","engine":"interp"}`)
+	if code != http.StatusCreated {
+		t.Fatalf("spec with engine member: status %d, want 201", code)
+	}
+	waitState(t, svc, legacy.ID, StateDone)
+	code, plain := postJob(t, ts.URL, `{"design":"dr5","bench":"loop"}`)
+	if code != http.StatusCreated {
+		t.Fatalf("plain spec: status %d, want 201", code)
+	}
+	waitState(t, svc, plain.ID, StateDone)
+	if plain.CacheKey != legacy.CacheKey {
+		t.Errorf("cache keys differ: with engine %s, without %s", legacy.CacheKey, plain.CacheKey)
+	}
+	d0, err := svc.Result(legacy.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, err := svc.Result(plain.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d0, d1) {
+		t.Error("results differ with and without the engine member")
+	}
+}
+
+// TestSubmitBodyCapped sends a valid spec padded past maxSpecBytes with an
+// unknown member: the handler answers 413 and accepts (and persists)
+// nothing, while a malformed body under the cap stays a 400.
+func TestSubmitBodyCapped(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, 0x3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(Handler(svc))
+	defer ts.Close()
+
+	padded := `{"design":"dr5","bench":"loop","pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	if code, _ := postJob(t, ts.URL, padded); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: status %d, want 413", code)
+	}
+	if code, _ := postJob(t, ts.URL, `{"design":`); code != http.StatusBadRequest {
+		t.Errorf("malformed spec: status %d, want 400", code)
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected bodies created jobs: %+v", jobs)
+	}
+	st, _, _, err := openStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, errs := st.loadJobs(); len(recs) != 0 || len(errs) != 0 {
+		t.Errorf("rejected bodies persisted %d records (%v)", len(recs), errs)
+	}
 }
 
 // TestBackpressureAndCancel exercises the bounded queue (ErrQueueFull at
@@ -634,15 +781,15 @@ func TestCoalescedSubmissionsSingleFlight(t *testing.T) {
 	if m.Coalesced != 2 {
 		t.Errorf("coalesced = %d, want 2", m.Coalesced)
 	}
-	if m.Engines[v1.Spec.Engine].SimulatedCycles == 0 {
-		t.Error("no engine cycles recorded for the leader")
+	if m.SimulatedCycles == 0 {
+		t.Error("no simulated cycles recorded for the leader")
 	}
 	// Exactly one analysis ran: a second run would double the cycle total
 	// of an identical spec, and the canceled follower must burn none.
 	if ref, errRef := core.Analyze(buildLoop(t, 0x7), core.Config{Workers: 1}); errRef != nil {
 		t.Fatal(errRef)
-	} else if got := m.Engines[v1.Spec.Engine].SimulatedCycles; got != ref.SimulatedCycles {
-		t.Errorf("engine cycles = %d, want one run's %d", got, ref.SimulatedCycles)
+	} else if got := m.SimulatedCycles; got != ref.SimulatedCycles {
+		t.Errorf("simulated cycles = %d, want one run's %d", got, ref.SimulatedCycles)
 	}
 }
 

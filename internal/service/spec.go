@@ -39,10 +39,11 @@ type JobSpec struct {
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Engine (kernel | interp), MemX (verilog | sound) and Workers tune
-	// the simulation machinery. Engine and Workers do not enter the cache
-	// key (see cacheKey); MemX does.
-	Engine  string `json:"engine,omitempty"`
+	// MemX (verilog | sound) selects the X-address write semantics and
+	// enters the cache key; Workers sets path parallelism and does not
+	// (see cacheKey). Every job simulates on the compiled kernel; a spec
+	// that still carries the retired "engine" member decodes with it
+	// ignored.
 	MemX    string `json:"memx,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 
@@ -64,7 +65,6 @@ func specDefaults(a *cliflags.Analysis) JobSpec {
 		Policy:       a.Policy,
 		K:            a.K,
 		MaxStates:    a.MaxStates,
-		Engine:       a.Engine,
 		MemX:         a.MemX,
 		Workers:      a.Workers,
 		DeadlineMS:   a.Deadline.Milliseconds(),
@@ -93,7 +93,6 @@ func normalize(spec, def JobSpec) (JobSpec, error) {
 		}
 	}
 	fill(&spec.Policy, def.Policy, "merge-all")
-	fill(&spec.Engine, def.Engine, "kernel")
 	fill(&spec.MemX, def.MemX, "verilog")
 	if spec.K == 0 {
 		spec.K = def.K
@@ -138,9 +137,6 @@ func normalize(spec, def JobSpec) (JobSpec, error) {
 	default:
 		return spec, &BadSpecError{Reason: fmt.Sprintf("unknown or unsupported policy %q (want merge-all | clustered | exact)", spec.Policy)}
 	}
-	if _, err := cliflags.ParseEngine(spec.Engine); err != nil {
-		return spec, &BadSpecError{Reason: err.Error()}
-	}
 	if _, err := cliflags.ParseMemX(spec.MemX); err != nil {
 		return spec, &BadSpecError{Reason: err.Error()}
 	}
@@ -174,12 +170,10 @@ func policyKey(spec JobSpec) string {
 // canonical design content hash (which includes the program image preloaded
 // in ROM init), the design/bench pair that selected the platform harness
 // (monitors, stimulus, state spec), the CSM policy with its parameters and
-// the memory-X semantics. Engine, worker count and budgets are deliberately
-// excluded: the kernel and the interpreter are result-identical (the
-// dichotomy, tie-offs and Table-4 counts; TestEngineEquivalenceEndToEnd
-// asserts full equality on every CPU and MemX policy), parallelism does not
-// change the dichotomy, and budget-degraded (incomplete) results are never
-// cached.
+// the memory-X semantics. Worker count and budgets are deliberately
+// excluded: parallelism does not change the dichotomy, and budget-degraded
+// (incomplete) results are never cached. There is no engine to key on:
+// every job runs the compiled kernel.
 func cacheKey(designHash netlist.Digest, spec JobSpec) string {
 	h := sha256.New()
 	h.Write([]byte(cacheKeyMagic))

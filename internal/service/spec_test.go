@@ -9,13 +9,13 @@ import (
 )
 
 func TestNormalizeFillsDefaults(t *testing.T) {
-	def := JobSpec{Policy: "clustered", K: 8, Engine: "interp", MemX: "sound", Workers: 3, DeadlineMS: 1000}
+	def := JobSpec{Policy: "clustered", K: 8, MemX: "sound", Workers: 3, DeadlineMS: 1000}
 	got, err := normalize(JobSpec{Design: "dr5", Bench: "tea8"}, def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8,
-		Engine: "interp", MemX: "sound", Workers: 3, DeadlineMS: 1000}
+		MemX: "sound", Workers: 3, DeadlineMS: 1000}
 	if got != want {
 		t.Errorf("normalize = %+v, want %+v", got, want)
 	}
@@ -26,7 +26,7 @@ func TestNormalizeBuiltinFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Policy != "merge-all" || got.Engine != "kernel" || got.MemX != "verilog" || got.Workers != 1 {
+	if got.Policy != "merge-all" || got.MemX != "verilog" || got.Workers != 1 {
 		t.Errorf("fallbacks wrong: %+v", got)
 	}
 }
@@ -63,10 +63,8 @@ func TestNormalizeRejects(t *testing.T) {
 		{"constrained unsupported", JobSpec{Design: "d", Bench: "b", Policy: "constrained"}, "policy"},
 		{"clustered needs k", JobSpec{Design: "d", Bench: "b", Policy: "clustered"}, "k > 0"},
 		{"exact needs budget", JobSpec{Design: "d", Bench: "b", Policy: "exact"}, "maxStates > 0"},
-		{"bad engine", JobSpec{Design: "d", Bench: "b", Engine: "vhdl"}, "engine"},
 		{"bad memx", JobSpec{Design: "d", Bench: "b", MemX: "maybe"}, "memx"},
 		{"negative budget", JobSpec{Design: "d", Bench: "b", MaxForks: -1}, "negative"},
-		{"retired batch engine", JobSpec{Design: "d", Bench: "b", Engine: "batch"}, "kernel | interp"},
 		{"priority range", JobSpec{Design: "d", Bench: "b", Priority: 1 << 21}, "priority"},
 	}
 	for _, tc := range cases {
@@ -87,7 +85,7 @@ func TestNormalizeRejects(t *testing.T) {
 // content, design/bench selection, policy (with its live parameters) and
 // memory-X semantics — and nothing else.
 func TestCacheKeySensitivity(t *testing.T) {
-	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, Engine: "kernel", MemX: "verilog", Workers: 1}
+	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, MemX: "verilog", Workers: 1}
 	var h1, h2 netlist.Digest
 	h2[0] = 1
 	key := cacheKey(h1, base)
@@ -109,9 +107,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	diff("policy param", JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8, MemX: "verilog"}, h1)
 	diff("memx", JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, MemX: "sound"}, h1)
 
-	eng := base
-	eng.Engine = "interp"
-	same("engine", eng)
 	wrk := base
 	wrk.Workers = 8
 	same("workers", wrk)

@@ -60,6 +60,12 @@ type jobRecord struct {
 	Cached bool
 	// Resumable marks a queued job with a usable checkpoint on disk.
 	Resumable bool
+	// legacyEngine is the record's engine slot, left from when a job
+	// could select its simulation engine. New records write it empty;
+	// one decoded from an older record keeps its value ("kernel",
+	// "interp" or "batch") so the record re-encodes byte-identically.
+	// Nothing reads it at run time: every job runs on the kernel.
+	legacyEngine string
 }
 
 // jobMagic identifies version 1 of the job record format.
@@ -71,7 +77,7 @@ var ErrJobRecordCorrupt = errors.New("service: corrupt job record")
 
 func (r *jobRecord) encode() []byte {
 	b := []byte(jobMagic)
-	for _, s := range []string{r.ID, r.Spec.Design, r.Spec.Bench, r.Spec.Policy, r.Spec.Engine, r.Spec.MemX} {
+	for _, s := range []string{r.ID, r.Spec.Design, r.Spec.Bench, r.Spec.Policy, r.legacyEngine, r.Spec.MemX} {
 		b = appendStr(b, s)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.K))
@@ -120,7 +126,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	rec.Spec.Design = r.str()
 	rec.Spec.Bench = r.str()
 	rec.Spec.Policy = r.str()
-	rec.Spec.Engine = r.str()
+	rec.legacyEngine = r.str()
 	rec.Spec.MemX = r.str()
 	rec.Spec.K = int(r.u32())
 	rec.Spec.MaxStates = int(r.u32())

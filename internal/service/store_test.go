@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ func sampleRecord() *jobRecord {
 		ID: "a1b2c3",
 		Spec: JobSpec{
 			Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4,
-			Engine: "kernel", MemX: "verilog", Workers: 2, Priority: -3,
+			MemX: "verilog", Workers: 2, Priority: -3,
 			DeadlineMS: 90_000, MaxCycles: 1 << 40, MaxForks: 7, MaxCSMStates: 11,
 		},
 		State:      StateQueued,
@@ -26,6 +27,8 @@ func sampleRecord() *jobRecord {
 		DesignHash: "cafe",
 		Cached:     false,
 		Resumable:  true,
+		// An older record's engine slot: it must survive the round trip.
+		legacyEngine: "kernel",
 	}
 }
 
@@ -99,6 +102,13 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 	f.Add([]byte("SYMSIMJ9junk"))
 	trunc := sampleRecord().encode()
 	f.Add(trunc[:len(trunc)-3])
+	for _, h := range legacyJobRecords {
+		img, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeJobRecord(data)
 		if err != nil {

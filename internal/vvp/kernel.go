@@ -1,4 +1,4 @@
-// The compiled simulation kernel: the default engine, executing the
+// The compiled simulation kernel: the production engine, executing the
 // structure-of-arrays netlist.Program instead of interpreting Gate records.
 //
 // Three things distinguish it from the reference interpreter, none of them

@@ -115,8 +115,8 @@ func randStimulus(r *rand.Rand, n *netlist.Netlist, ins []netlist.NetID, nCycles
 // binds both to the same stimulus.
 func enginePair(n *netlist.Netlist, st *Stimulus, memx MemXPolicy) (si, sk *Simulator, ti, tk *Trace) {
 	ti, tk = &Trace{}, &Trace{}
-	si = New(n, Options{Engine: EngineInterp, MemX: memx, Trace: ti, CountActivity: true})
-	sk = New(n, Options{Engine: EngineKernel, MemX: memx, Trace: tk, CountActivity: true})
+	si = NewInterpreter(n, Options{MemX: memx, Trace: ti, CountActivity: true})
+	sk = New(n, Options{MemX: memx, Trace: tk, CountActivity: true})
 	si.BindStimulus(st)
 	sk.BindStimulus(st)
 	return si, sk, ti, tk
@@ -202,8 +202,8 @@ func diffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	if !sti.Bits.Equal(stk.Bits) || sti.Time != stk.Time {
 		t.Fatalf("seed %d: snapshots diverged: %s vs %s", seed, sti.Bits, stk.Bits)
 	}
-	ri := New(n, Options{Engine: EngineKernel, MemX: memx})
-	rk := New(n, Options{Engine: EngineInterp, MemX: memx})
+	ri := New(n, Options{MemX: memx})
+	rk := NewInterpreter(n, Options{MemX: memx})
 	ri.BindStimulus(st)
 	rk.BindStimulus(st)
 	if err := ri.Restore(sp, sti); err != nil {
@@ -282,8 +282,8 @@ func TestKernelSweepTriggers(t *testing.T) {
 	st.Finalize()
 
 	ti, tk := &Trace{}, &Trace{}
-	si := New(n, Options{Engine: EngineInterp, Trace: ti})
-	sk := New(n, Options{Engine: EngineKernel, Trace: tk})
+	si := NewInterpreter(n, Options{Trace: ti})
+	sk := New(n, Options{Trace: tk})
 	si.BindStimulus(st)
 	sk.BindStimulus(st)
 	for step := 0; step < 20; step++ {
@@ -322,8 +322,11 @@ func TestApplyStimulusLateJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = clk
-	for _, eng := range []Engine{EngineInterp, EngineKernel} {
-		s := New(n, Options{Engine: eng})
+	for _, eng := range []struct {
+		name string
+		new  func(*netlist.Netlist, Options) *Simulator
+	}{{"interp", NewInterpreter}, {"kernel", New}} {
+		s := eng.new(n, Options{})
 		// Advance time with an event-free clock first, so the schedule
 		// bound below is joined late: its events are already in the past
 		// when the next step applies stimulus.
@@ -347,13 +350,13 @@ func TestApplyStimulusLateJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := s.Value(a); got != logic.Lo {
-			t.Fatalf("%v: late-join a = %v, want Lo (latest scheduled value)", eng, got)
+			t.Fatalf("%s: late-join a = %v, want Lo (latest scheduled value)", eng.name, got)
 		}
 		if got := s.Value(b); got != logic.Hi {
-			t.Fatalf("%v: late-join b = %v, want Hi", eng, got)
+			t.Fatalf("%s: late-join b = %v, want Hi", eng.name, got)
 		}
 		if got := s.Value(o); got != logic.Lo {
-			t.Fatalf("%v: o = %v, want Lo", eng, got)
+			t.Fatalf("%s: o = %v, want Lo", eng.name, got)
 		}
 	}
 }

@@ -77,37 +77,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
-// Engine selects the evaluation machinery a Simulator runs on. Both
-// engines implement identical semantics — same commit traces, toggle
-// profiles and halt cycles on any design — and differ only in speed; the
-// differential suite (FuzzKernelVsInterpreter, the cross-engine analysis
-// test) enforces the equivalence.
-type Engine uint8
-
-const (
-	// EngineKernel is the compiled kernel (the default): the frozen
-	// netlist is flattened into structure-of-arrays tables (see
-	// netlist.Program), gates evaluate through a branch-free four-valued
-	// lookup table, and mostly-dirty topological levels are swept linearly
-	// instead of scheduled gate-by-gate.
-	EngineKernel Engine = iota
-	// EngineInterp is the scalar reference interpreter: per-gate dispatch
-	// through netlist.EvalGate and slice-of-slices fanout walks. It is the
-	// oracle the kernel is differentially tested against.
-	EngineInterp
-)
-
-// String returns the engine name used by CLI flags.
-func (e Engine) String() string {
-	switch e {
-	case EngineKernel:
-		return "kernel"
-	case EngineInterp:
-		return "interp"
-	}
-	return fmt.Sprintf("Engine(%d)", uint8(e))
-}
-
 // MemXPolicy selects the semantics of a memory write whose address contains
 // X bits (paper §3.3 discussion; see DESIGN.md substitution table).
 type MemXPolicy uint8
@@ -124,9 +93,6 @@ const (
 
 // Options configure a Simulator.
 type Options struct {
-	// Engine selects the evaluation machinery. The zero value is the
-	// compiled kernel; EngineInterp selects the reference interpreter.
-	Engine Engine
 	// MemX selects X-address write semantics. Default MemXVerilog.
 	MemX MemXPolicy
 	// Trace, when non-nil, records every net value commit. Used by the
@@ -175,8 +141,8 @@ type Simulator struct {
 	d    *netlist.Netlist
 	opts Options
 
-	// prog is the compiled structure-of-arrays form of the design; non-nil
-	// exactly when the engine is EngineKernel. Both engines share every
+	// prog is the compiled structure-of-arrays form of the design; nil
+	// only on the reference interpreter (NewInterpreter). Both share every
 	// piece of mutable state below, so snapshots, restores and forces work
 	// identically under either; only the active-region drain, gate
 	// evaluation and fanout walk differ.
@@ -279,10 +245,23 @@ type nbaAssign struct {
 	val logic.Value
 }
 
-// New creates a simulator for the frozen design d. It panics if d is not
-// frozen (Freeze validates single drivers and acyclicity, which the engine
-// relies on for termination).
+// New creates a simulator for the frozen design d on the compiled kernel
+// (kernel.go). It panics if d is not frozen (Freeze validates single
+// drivers and acyclicity, which the engine relies on for termination).
 func New(d *netlist.Netlist, opts Options) *Simulator {
+	return newSimulator(d, opts, true)
+}
+
+// NewInterpreter creates a simulator for d on the scalar reference
+// interpreter: per-gate dispatch through netlist.EvalGate and
+// slice-of-slices fanout walks. It has the kernel's exact semantics (same
+// commit traces, toggle profiles and halt cycles) and exists only as the
+// oracle the kernel is differentially tested against.
+func NewInterpreter(d *netlist.Netlist, opts Options) *Simulator {
+	return newSimulator(d, opts, false)
+}
+
+func newSimulator(d *netlist.Netlist, opts Options, kernel bool) *Simulator {
 	s := &Simulator{
 		d:          d,
 		opts:       opts,
@@ -294,7 +273,7 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 		dirtyLo:    d.MaxLevel() + 1,
 		levels:     d.MaxLevel() + 1,
 	}
-	if opts.Engine != EngineInterp {
+	if kernel {
 		s.prog = d.Program()
 		s.glv, s.mlv = s.prog.GateLevel, s.prog.MemLevel
 		nw := (len(d.Gates) + 63) / 64

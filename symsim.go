@@ -182,7 +182,7 @@ type ConstraintError = csm.ConstraintError
 // rejects malformed facts (out-of-range bits, inverted ranges) up front
 // with a *ConstraintError rather than silently skipping them at observe
 // time. The returned policy also proves forked children infeasible before
-// the engine schedules them (see Config.DisablePrune).
+// the engine schedules them.
 func ConstrainedPolicy(bits int, cons []Constraint) (Policy, error) {
 	return csm.NewConstrained(bits, cons)
 }
@@ -266,20 +266,6 @@ const (
 	Finished = vvp.Finished
 )
 
-// SimEngine selects the simulation machinery: the compiled kernel
-// (default) or the reference interpreter. Both produce the same result.
-type SimEngine = vvp.Engine
-
-// Simulation engines.
-const (
-	// EngineKernel is the compiled kernel: flattened netlist tables,
-	// branch-free four-valued evaluation, adaptive level sweeps.
-	EngineKernel = vvp.EngineKernel
-	// EngineInterp is the reference interpreter the kernel is
-	// differentially tested against.
-	EngineInterp = vvp.EngineInterp
-)
-
 // MemXPolicy selects the semantics of memory writes with unknown
 // addresses.
 type MemXPolicy = vvp.MemXPolicy
@@ -293,7 +279,8 @@ const (
 	MemXSound = vvp.MemXSound
 )
 
-// NewSimulator creates a simulator for a frozen netlist.
+// NewSimulator creates a simulator for a frozen netlist on the compiled
+// kernel.
 func NewSimulator(d *Netlist, opts SimOptions) *Simulator { return vvp.New(d, opts) }
 
 // Stimulus is a testbench schedule (clock, reset, input events).
